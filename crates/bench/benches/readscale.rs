@@ -41,7 +41,6 @@ fn bench_nr_read_path(c: &mut Criterion) {
     nr_reads(c, FairnessMode::Throughput, "NR-DistRwLock");
     nr_reads(c, FairnessMode::ThroughputCentralized, "NR-RwSpinLock");
     nr_reads(c, FairnessMode::Optimistic, "NR-Optimistic");
-    nr_reads(c, FairnessMode::Adaptive, "NR-Adaptive");
 }
 
 fn bench_raw_locks(c: &mut Criterion) {

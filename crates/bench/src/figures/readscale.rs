@@ -4,16 +4,16 @@
 //!
 //! The paper's headline workloads are 90%-read (Fig. 1a/1b, Fig. 2,
 //! Fig. 6), so the replica read path is the throughput-critical section.
-//! This figure sweeps threads × read ratio {90%, 100%} × read-path mode
-//! {centralized `RwSpinLock`, distributed `DistRwLock`, lock-free
-//! `Optimistic`, self-tuning `Adaptive`} on the prefilled hashmap under
+//! This figure sweeps threads × read ratio {10%, 50%, 90%, 100%} ×
+//! read-path mode {centralized `RwSpinLock`, NR §3's distributed
+//! `DistRwLock`, lock-free `Optimistic`} on the prefilled hashmap under
 //! volatile NR (no latency model — the read path is the only variable).
-//! With the distributed lock a caught-up reader touches only its own
+//! The write-heavy mixes are where optimistic validation can fail. With
+//! the distributed lock a caught-up reader touches only its own
 //! cacheline-padded slot (one RMW + one store); an optimistic reader
 //! touches *no* shared line at all — two loads of the replica seqlock
 //! version bracket the read, and validation failure falls back to the
-//! slot path. Adaptive starts on the slot path and migrates per the
-//! observed read/write mix.
+//! slot path.
 //!
 //! Caveat: on a single-CPU VM the kernel timeslices the "concurrent"
 //! readers, so the centralized line never actually ping-pongs between cores
@@ -34,14 +34,13 @@ use crate::targets::{run_nr_fair, CellResult};
 use crate::workload::prefilled_hashmap;
 use crate::RunOpts;
 
-const LOCKS: [(FairnessMode, &str); 4] = [
+const LOCKS: [(FairnessMode, &str); 3] = [
     (FairnessMode::ThroughputCentralized, "RwSpinLock"),
     (FairnessMode::Throughput, "DistRwLock"),
     (FairnessMode::Optimistic, "Optimistic"),
-    (FairnessMode::Adaptive, "Adaptive"),
 ];
 
-const READ_PCTS: [u32; 2] = [90, 100];
+const READ_PCTS: [u32; 4] = [10, 50, 90, 100];
 
 struct Record {
     read_pct: u32,
@@ -119,13 +118,11 @@ fn print_ratio_summary(records: &[Record]) {
                 f64::INFINITY
             }
         };
-        let (dist, opt, adapt) = (per("DistRwLock"), per("Optimistic"), per("Adaptive"));
-        if let (Some(dist), Some(opt), Some(adapt)) = (dist, opt, adapt) {
+        if let (Some(dist), Some(opt)) = (per("DistRwLock"), per("Optimistic")) {
             println!(
-                "{read_pct:>3}% reads  {threads:>3} threads  dist {:>6.2}x  opt {:>6.2}x  adapt {:>6.2}x",
+                "{read_pct:>3}% reads  {threads:>3} threads  dist {:>6.2}x  opt {:>6.2}x",
                 ratio(dist),
-                ratio(opt),
-                ratio(adapt)
+                ratio(opt)
             );
         }
     }
@@ -135,8 +132,9 @@ fn print_ratio_summary(records: &[Record]) {
 /// per cell, flat fields only.
 fn write_json(opts: &RunOpts, records: &[Record]) {
     let mut out = String::from("{\n  \"bench\": \"readscale\",\n");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     out.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"latency_model\": \"off\",\n  \"cells\": [\n",
+        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"nproc\": {nproc},\n  \"latency_model\": \"off\",\n  \"cells\": [\n",
         if opts.full { "full" } else { "quick" },
         opts.seconds
     ));

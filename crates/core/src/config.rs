@@ -81,8 +81,10 @@ pub struct PrepConfig {
     /// once per batch. The paper's single-fence-per-batch scheme (§4.1) is
     /// the default; per-entry fencing quantifies what batching saves.
     pub fence_per_entry: bool,
-    /// Liveness mode (§4.2): throughput-first (the paper's default) or
-    /// starvation-free (fair reservation lock + phase-fair replica locks).
+    /// Liveness and read-path mode (§4.2): optimistic lock-free reads (the
+    /// default), the paper's throughput-first distributed lock, its
+    /// centralized ablation, or starvation-free (fair reservation lock +
+    /// phase-fair replica locks).
     pub fairness: prep_nr::FairnessMode,
     /// Deliberately seeded ordering bug for sanitizer-validation tests
     /// (`None` in every real configuration).
@@ -101,7 +103,7 @@ impl PrepConfig {
             allocator_swap: true,
             flush_strategy: FlushStrategy::Wbinvd,
             fence_per_entry: false,
-            fairness: prep_nr::FairnessMode::Throughput,
+            fairness: prep_nr::FairnessMode::default(),
             psan_fault: None,
         }
     }

@@ -134,7 +134,7 @@ impl<T: SequentialObject> PrepUc<T> {
 
     /// Validated optimistic (lock-free) fast-path reads — zero atomic RMWs,
     /// zero shared-cacheline stores each — summed over replicas. Nonzero
-    /// only under the optimistic-capable fairness modes.
+    /// only under [`FairnessMode::Optimistic`](crate::FairnessMode::Optimistic).
     pub fn read_fast_optimistic(&self) -> u64 {
         self.nr.read_fast_optimistic()
     }

@@ -14,9 +14,10 @@
 //!
 //! All wall-clock access lives in [`clock`]; the rest of the crate —
 //! like the server it drives — never touches `Instant` directly.
+//! The crate's one unsafe site is [`run`]'s `ppoll(2)` binding.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arrivals;
 pub mod clock;

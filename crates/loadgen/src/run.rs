@@ -14,14 +14,16 @@
 //! Under the default fixed lattice, connection `i` of `c` owns arrivals
 //! `i, i+c, i+2c, …` of the global schedule (interval `1/rate`), so the
 //! aggregate offered load is `rate`
-//! regardless of the connection count. Between arrivals the socket blocks
-//! in `read` with a deadline at the next send, so responses are timestamped
-//! promptly rather than at the next polling tick. `RETRY` responses count
-//! as shed load (the backpressure contract), not latency samples.
+//! regardless of the connection count. Between arrivals the connection
+//! waits in `ppoll(2)` with a deadline at the next send, so responses are
+//! timestamped promptly rather than at the next polling tick. `RETRY`
+//! responses count as shed load (the backpressure contract), not latency
+//! samples.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use prep_serve::proto::{self, AckLevel, AdminCmd, Request, Response};
@@ -153,6 +155,7 @@ struct PendingOp {
     warmup: bool,
 }
 
+#[derive(Default)]
 struct ConnOutcome {
     sent: u64,
     completed: u64,
@@ -334,16 +337,7 @@ fn conn_worker(
         .crash_at_ms
         .map(|ms| start_ns + cfg.warmup_ms.saturating_add(ms) * 1_000_000);
 
-    let mut o = ConnOutcome {
-        sent: 0,
-        completed: 0,
-        shed: 0,
-        errors: 0,
-        lost: 0,
-        hist: LatencyHistogram::new(),
-        update_hist: LatencyHistogram::new(),
-        crash: None,
-    };
+    let mut o = ConnOutcome::default();
     let mut pending: HashMap<u64, PendingOp> = HashMap::new();
     let mut rbuf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 8192];
@@ -377,8 +371,8 @@ fn conn_worker(
                 crash_sent = true;
             }
         }
-        // Block in read until the next scheduled send, timestamping
-        // responses as they land.
+        // Wait until the next scheduled send, timestamping responses as
+        // they land.
         receive_until(
             &mut stream,
             &mut rbuf,
@@ -439,6 +433,11 @@ fn conn_worker(
 }
 
 /// Reads and accounts responses until `deadline_ns` on the run clock.
+///
+/// Waits for data in `ppoll(2)` rather than in `read` under a socket read
+/// timeout: Linux rounds `SO_RCVTIMEO` up to whole scheduler ticks, so a
+/// sub-millisecond timeout could block for milliseconds when nothing
+/// arrived, delaying every send behind it.
 #[allow(clippy::too_many_arguments)]
 fn receive_until(
     stream: &mut TcpStream,
@@ -457,11 +456,11 @@ fn receive_until(
         }
         let now = clock.now_ns();
         if now >= deadline_ns {
-            stream.set_read_timeout(None)?;
             return Ok(());
         }
-        let wait = Duration::from_nanos((deadline_ns - now).max(1_000));
-        stream.set_read_timeout(Some(wait))?;
+        if !wait_readable(stream, deadline_ns - now)? {
+            continue;
+        }
         match stream.read(tmp) {
             Ok(0) => {
                 return Err(std::io::Error::new(
@@ -470,17 +469,57 @@ fn receive_until(
                 ))
             }
             Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                stream.set_read_timeout(None)?;
-                return Ok(());
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
+}
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// `struct timespec` (64-bit Linux).
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+}
+
+/// Blocks until `stream` has data (or end of stream, or an error) to read,
+/// or `timeout_ns` has passed. Returns whether a `read` will not block; a
+/// signal interrupting the wait reads as a timeout.
+fn wait_readable(stream: &TcpStream, timeout_ns: u64) -> std::io::Result<bool> {
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd {
+        fd: stream.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let t = Timespec {
+        tv_sec: (timeout_ns / 1_000_000_000) as i64,
+        tv_nsec: (timeout_ns % 1_000_000_000) as i64,
+    };
+    // SAFETY: `fd` and `t` are live locals that outlive the call; ppoll
+    // reads one `PollFd` and the timeout, writes only `fd.revents`, and a
+    // null signal mask leaves the thread's mask unchanged.
+    let ready = unsafe { ppoll(&mut fd, 1, &t, std::ptr::null()) };
+    if ready < 0 {
+        let e = std::io::Error::last_os_error();
+        return match e.kind() {
+            std::io::ErrorKind::Interrupted => Ok(false),
+            _ => Err(e),
+        };
+    }
+    Ok(ready > 0 && fd.revents != 0)
 }
 
 /// Accounts one response against the pending table.
@@ -550,6 +589,42 @@ mod tests {
             "127.0.0.1:0",
         )
         .expect("start server")
+    }
+
+    /// With nothing arriving, a wait ends at its deadline rather than at
+    /// the next scheduler tick: a 200 µs deadline returns within 2 ms
+    /// (median of 20 waits).
+    #[test]
+    fn idle_receive_returns_at_its_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _peer = listener.accept().unwrap();
+        let clock = Clock::new();
+        let (mut rbuf, mut tmp) = (Vec::new(), [0u8; 64]);
+        let (mut pending, mut o) = (HashMap::new(), ConnOutcome::default());
+        let mut waits: Vec<u64> = (0..20)
+            .map(|_| {
+                let start = clock.now_ns();
+                receive_until(
+                    &mut stream,
+                    &mut rbuf,
+                    &mut tmp,
+                    &clock,
+                    start + 200_000,
+                    &mut pending,
+                    &mut o,
+                )
+                .unwrap();
+                clock.now_ns() - start
+            })
+            .collect();
+        waits.sort_unstable();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median >= 200_000,
+            "returned before its deadline: {median} ns"
+        );
+        assert!(median < 2_000_000, "200 µs wait took {median} ns (median)");
     }
 
     #[test]

@@ -67,44 +67,7 @@ fn read_begin_refuses_open_write_brackets() {
     });
 }
 
-/// PR 7's write-free-window skip (uc.rs `FairnessMode::Throughput`):
-/// a reader gates its optimistic attempt on `current()` matching the
-/// version its last locked read recorded. The gate is advisory (Relaxed)
-/// — the property is that even when the stale gate lets an attempt
-/// through mid-write, the `read_begin`/`validate` bracket still rejects
-/// every inconsistent view.
-#[test]
-fn write_free_window_skip_is_safe() {
-    Builder::new("write-free-window").check(|| {
-        let sv = Arc::new(SeqVersion::new());
-        let d = Arc::new(PeekCell::new(0u64));
-        let (sv2, d2) = (Arc::clone(&sv), Arc::clone(&d));
-        let writer = thread::spawn(move || {
-            sv2.write_begin();
-            unsafe { d2.write(7) };
-            sv2.write_end();
-        });
-        // "Locked read": record the version observed with the data.
-        let last_version = sv.current();
-        // Later read: the write-free-window gate.
-        if sv.current() == last_version {
-            // Gate passed — optimistic attempt, still fully bracketed.
-            if let Some(snap) = sv.read_begin() {
-                let v = unsafe { d.read_racy() }.value;
-                if sv.validate(snap) {
-                    assert_eq!(
-                        v,
-                        snap / 2 * 7,
-                        "validated optimistic read saw data inconsistent with its snapshot"
-                    );
-                }
-            }
-        }
-        writer.join().unwrap();
-    });
-}
-
-/// Advisory counters (`current`, `writes`) never tear and never run
+/// The advisory counter (`current`) never tears and never run
 /// backwards from one thread's perspective.
 #[test]
 fn version_counter_is_monotonic_per_observer() {

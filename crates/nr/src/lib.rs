@@ -59,23 +59,30 @@ pub const DEFAULT_LOG_SIZE: u64 = 1 << 20;
 /// a fair lock around reservations and a starvation-free reader-writer
 /// lock per replica — and this enum selects them.
 ///
-/// The `ThroughputCentralized` variant is not a paper mode: it keeps the
-/// centralized writer-preference spin lock that predates the distributed
-/// reader-writer lock, as the ablation baseline the distributed read path
-/// is measured against (`prep-bench -- readscale`). `Optimistic` and
-/// `Adaptive` go past the paper in the other direction: seqlock-validated
-/// reads touch no lock state at all (zero RMWs, zero shared-line stores),
-/// falling back to the reader slot only when a combiner overlaps the read.
+/// Each mode has exactly one read route. `Throughput` and
+/// `StarvationFree` are the paper's two ends; `ThroughputCentralized` is not
+/// a paper mode: it keeps the centralized writer-preference spin lock that
+/// predates the distributed reader-writer lock, as the ablation baseline the
+/// distributed read path is measured against (`prep-bench -- readscale`).
+/// `Optimistic`, the default, goes past the paper in the other direction:
+/// seqlock-validated reads touch no lock state at all (zero RMWs, zero
+/// shared-line stores), falling back to the reader slot only when a
+/// combiner overlaps the read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FairnessMode {
-    /// The paper's default: CAS reservations + NR §3's distributed
-    /// writer-preference reader-writer lock per replica (one cacheline-padded
-    /// slot per registered reader). Fastest; starvation possible under
-    /// adversarial scheduling. Includes a conservative optimistic skip: when
-    /// the replica version is unchanged since this reader's last locked
-    /// read (an observed write-free window), the read validates against the
-    /// version instead of RMW-ing its slot.
+    /// The default: always-optimistic reads. Every caught-up read runs
+    /// lock-free against the replica and validates with the
+    /// [`prep_sync::SeqVersion`] bracket (zero atomic RMWs, zero stores to
+    /// shared cachelines); bounded retries fall back to the distributed
+    /// reader slot. Updates use CAS reservations as in
+    /// [`FairnessMode::Throughput`], and writers never wait on optimistic
+    /// readers.
     #[default]
+    Optimistic,
+    /// The paper's NR §3 configuration: CAS reservations + the distributed
+    /// writer-preference reader-writer lock per replica (one
+    /// cacheline-padded slot per registered reader). Every caught-up read
+    /// takes its slot; starvation possible under adversarial scheduling.
     Throughput,
     /// Like [`FairnessMode::Throughput`] but with the centralized
     /// writer-preference lock ([`prep_sync::RwSpinLock`]): every reader
@@ -84,26 +91,4 @@ pub enum FairnessMode {
     /// Starvation-free updates and reads: FIFO ticket lock around log
     /// reservations, phase-fair reader-writer lock per replica.
     StarvationFree,
-    /// Always-optimistic reads: every caught-up read runs lock-free against
-    /// the replica and validates with the [`prep_sync::SeqVersion`] bracket
-    /// (zero atomic RMWs, zero stores to shared cachelines); bounded retries
-    /// fall back to the distributed reader slot. Writers never wait on
-    /// optimistic readers.
-    Optimistic,
-    /// Contention-adaptive: route each read Centralized / Distributed /
-    /// Optimistic per [`prep_sync::AdaptiveSelector`]'s windowed view of the
-    /// read/write mix and optimistic validation-failure rate (hysteresis
-    /// over consecutive windows).
-    Adaptive,
-}
-
-impl FairnessMode {
-    /// Whether this mode's replicas may serve seqlock-validated lock-free
-    /// reads at all.
-    pub fn allows_optimistic(self) -> bool {
-        matches!(
-            self,
-            FairnessMode::Throughput | FairnessMode::Optimistic | FairnessMode::Adaptive
-        )
-    }
 }

@@ -5,8 +5,7 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 use prep_sync::{
-    AdaptiveSelector, DistRwLock, PhaseFairRwLock, ReadMode, ReaderId, ReplicaLock, RwSpinLock,
-    SeqVersion, TryLock,
+    DistRwLock, PhaseFairRwLock, ReaderId, ReplicaLock, RwSpinLock, SeqVersion, TryLock,
 };
 
 use crate::FairnessMode;
@@ -50,48 +49,33 @@ impl<O, R> BatchSlot<O, R> {
 
 /// Per-reader-slot read-path bookkeeping, one cacheline per slot.
 ///
-/// Every field is written only by the slot's owning worker (plain
-/// load+store, never an RMW) and read by others only for rare, advisory
-/// aggregation (metrics, the adaptive selector's window) — so the whole
-/// struct shares one padded line without contention.
+/// Written only by the slot's owning worker (plain load+store, never an
+/// RMW) and read by others only for rare, advisory metrics aggregation —
+/// so it sits on its own padded line without contention.
 pub(crate) struct SlotReadState {
-    /// Read-only operations routed through this slot (bumped in
-    /// [`FairnessMode::Adaptive`] to feed the selector's window).
-    // shared-line: single-writer line with its two siblings below; padding
-    // is applied once at the container (`CachePadded<SlotReadState>`).
-    pub(crate) reads: AtomicU64,
     /// Validated optimistic (lock-free) fast-path reads.
-    // shared-line: see `reads` — same single-writer padded line.
+    // shared-line: single-writer counter; padding is applied once at the
+    // container (`CachePadded<SlotReadState>`).
     pub(crate) fast_optimistic: AtomicU64,
-    /// Replica version observed by this slot's last *locked* read; when the
-    /// current version still equals it, the reader has proof of a write-free
-    /// window and may skip the slot RMW ([`FairnessMode::Throughput`]'s
-    /// optimistic skip).
-    // shared-line: see `reads` — same single-writer padded line.
-    pub(crate) last_version: AtomicU64,
 }
 
 impl SlotReadState {
     fn new() -> Self {
         SlotReadState {
-            reads: AtomicU64::new(0),
             fast_optimistic: AtomicU64::new(0),
-            last_version: AtomicU64::new(u64::MAX),
         }
     }
 
-    /// Single-writer counter bump: a plain load + store on the owning
-    /// reader's private line — deliberately **not** `fetch_add`, so the
-    /// optimistic fast path stays free of atomic RMW instructions. Returns
-    /// the new value.
+    /// Counts one validated optimistic read: a plain load + store on the
+    /// owning reader's private line — deliberately **not** `fetch_add`, so
+    /// the optimistic fast path stays free of atomic RMW instructions.
     #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) -> u64 {
+    pub(crate) fn bump_fast_optimistic(&self) {
         // ord: single-writer statistics on the owner's private line; remote
-        // aggregation (metrics, selector windows) tolerates staleness.
-        let v = counter.load(Ordering::Relaxed) + 1;
+        // metrics aggregation tolerates staleness.
+        let v = self.fast_optimistic.load(Ordering::Relaxed) + 1;
         // ord: single-writer statistics store (see the load above).
-        counter.store(v, Ordering::Relaxed);
-        v
+        self.fast_optimistic.store(v, Ordering::Relaxed);
     }
 }
 
@@ -130,16 +114,14 @@ pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// lock-free read). Bumped only on the failure path, which falls back
     /// to a real lock acquisition anyway.
     pub(crate) read_validation_failures: CachePadded<AtomicU64>,
-    /// Advisory read-mode selector, consulted in [`FairnessMode::Adaptive`].
-    pub(crate) selector: AdaptiveSelector,
 }
 
 impl<T: prep_seqds::SequentialObject> Replica<T> {
     pub(crate) fn new(ds: T, beta: usize, fairness: FairnessMode) -> Self {
         let rw: Box<dyn ReplicaLock<T>> = match fairness {
-            // The optimistic modes keep the distributed lock as their
-            // validated-read fallback and writer-side exclusion.
-            FairnessMode::Throughput | FairnessMode::Optimistic | FairnessMode::Adaptive => {
+            // Optimistic keeps the distributed lock as its validated-read
+            // fallback and writer-side exclusion.
+            FairnessMode::Throughput | FairnessMode::Optimistic => {
                 Box::new(DistRwLock::new(ds, beta))
             }
             FairnessMode::ThroughputCentralized => Box::new(RwSpinLock::new(ds)),
@@ -157,9 +139,6 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
                 .map(|_| CachePadded::new(SlotReadState::new()))
                 .collect(),
             read_validation_failures: CachePadded::new(AtomicU64::new(0)),
-            // Start distributed: the paper's default routing until a window
-            // of evidence argues otherwise.
-            selector: AdaptiveSelector::new(ReadMode::Distributed),
         }
     }
 
@@ -236,24 +215,6 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
                 .fetch_add(1, Ordering::Relaxed);
         }
         None
-    }
-
-    /// Feeds the adaptive selector a fresh window: total reads across this
-    /// replica's slots, completed write brackets, validation failures.
-    /// Called amortized (once per `WINDOW_READS_PER_READER` of one reader's
-    /// reads), so the O(β) sum is off the per-read path.
-    pub(crate) fn evaluate_selector(&self) {
-        self.selector.observe(prep_sync::ReadWindow {
-            reads: self
-                .read_state
-                .iter()
-                // ord: advisory aggregation of single-writer counters.
-                .map(|s| s.reads.load(Ordering::Relaxed))
-                .sum(),
-            writes: self.version.writes(),
-            // ord: advisory aggregation (see above).
-            validation_failures: self.read_validation_failures.load(Ordering::Relaxed),
-        });
     }
 
     /// Validated optimistic fast-path reads served by this replica.

@@ -122,9 +122,9 @@ pub struct ServeConfig {
     /// Simulated NVM latency model.
     pub latency: LatencyModel,
     /// Replica read-path fairness mode. Defaults to
-    /// [`FairnessMode::Adaptive`]: GETs start on the distributed-lock slot
-    /// path and migrate to optimistic lock-free reads when the observed
-    /// read/write mix warrants it.
+    /// [`FairnessMode::default()`] (`Optimistic`): GETs run lock-free under
+    /// the replica's seqlock version and fall back to the distributed-lock
+    /// slot only when a combiner overlaps them.
     pub fairness: FairnessMode,
     /// Enable crash simulation (`ADMIN CRASH`); costs image upkeep.
     pub crash_sim: bool,
@@ -145,7 +145,7 @@ impl Default for ServeConfig {
             epsilon: 64,
             log_size: 4096,
             latency: LatencyModel::off(),
-            fairness: FairnessMode::Adaptive,
+            fairness: FairnessMode::default(),
             crash_sim: false,
             watch_signals: false,
         }

@@ -391,11 +391,12 @@ mod tests {
     fn racing_reader_backs_out_and_writer_drains() {
         let lock = Arc::new(DistRwLock::new(0u64, 2));
         let stop = Arc::new(AtomicBool::new(false));
-        let l2 = Arc::clone(&lock);
-        let s2 = Arc::clone(&stop);
+        let running = Arc::new(AtomicBool::new(false));
+        let (l2, s2, r2) = (Arc::clone(&lock), Arc::clone(&stop), Arc::clone(&running));
         // Reader thread hammers acquire/release on its own slot.
         let reader = thread::spawn(move || {
             let mut reads = 0u64;
+            r2.store(true, Ordering::Release);
             while !s2.load(Ordering::Relaxed) {
                 let g = l2.read(ReaderId::Slot(0));
                 reads += 1;
@@ -403,6 +404,11 @@ mod tests {
             }
             reads
         });
+        // Start writing only once the reader is on a CPU: otherwise the
+        // short write loop can finish before a freshly spawned reader is
+        // ever scheduled. (A `Barrier` is not enough: its wake-up can let
+        // the writes finish before the reader runs again.)
+        spin_until(|| running.load(Ordering::Acquire));
         // Writer thread repeatedly acquires through the churning reader —
         // every acquisition must complete (drain terminates) and be
         // exclusive.

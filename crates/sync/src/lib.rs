@@ -22,10 +22,7 @@
 //!   baselines of Correia et al. ([`StrongTryRwLock`]);
 //! * a **seqlock-style version cell** bracketing combiner writes so
 //!   read-only operations can run lock-free and validate afterwards —
-//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]);
-//! * a **contention-adaptive selector** choosing Centralized / Distributed /
-//!   Optimistic read routing from the observed read/write mix and
-//!   validation-failure rate ([`AdaptiveSelector`]).
+//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]).
 //!
 //! All locks here are spin locks in the tradition of the originals, but every
 //! wait loop goes through [`Waiter`], which spins briefly and then yields to
@@ -39,7 +36,6 @@
 
 pub mod cell;
 
-mod adaptive;
 mod dist_rw;
 mod phase_fair;
 mod replica_lock;
@@ -50,7 +46,6 @@ mod ticket;
 mod trylock;
 mod waiter;
 
-pub use adaptive::{AdaptiveSelector, ReadMode, ReadWindow, WINDOW_READS_PER_READER};
 pub use dist_rw::{DistReadGuard, DistRwLock, DistWriteGuard, ReaderId};
 pub use phase_fair::{PhaseFairReadGuard, PhaseFairRwLock, PhaseFairWriteGuard};
 pub use replica_lock::ReplicaLock;

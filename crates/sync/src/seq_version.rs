@@ -153,19 +153,12 @@ impl SeqVersion {
         self.version.load(Ordering::Relaxed) == snapshot
     }
 
-    /// Current raw version (advisory: tests and the adaptive selector).
+    /// Current raw version (advisory: tests and diagnostics).
     #[inline]
     pub fn current(&self) -> u64 {
         // ord: advisory snapshot; readers of the protected data use
         // read_begin/validate instead.
         self.version.load(Ordering::Relaxed)
-    }
-
-    /// Number of completed write brackets (advisory: the adaptive selector's
-    /// write-rate estimate).
-    #[inline]
-    pub fn writes(&self) -> u64 {
-        self.current() >> 1
     }
 }
 
@@ -195,7 +188,6 @@ mod tests {
         assert!(!v.validate(s), "overlapping write must invalidate");
         v.write_end();
         assert_eq!(v.current(), 2);
-        assert_eq!(v.writes(), 1);
 
         assert!(!v.validate(s), "completed write must invalidate old snaps");
         let s2 = v.read_begin().unwrap();

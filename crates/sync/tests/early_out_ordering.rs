@@ -18,10 +18,10 @@
 //! any future weakening beyond Acquire, or a botched recheck, would break
 //! even on TSO hardware.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use prep_sync::{DistRwLock, ReaderId, StrongTryRwLock};
+use prep_sync::{spin_until, DistRwLock, ReaderId, StrongTryRwLock};
 
 const WRITERS: usize = 2;
 const READERS: usize = 4;
@@ -62,16 +62,36 @@ impl Monitor {
     }
 }
 
+/// Start line for one test: each reader checks in from its own thread
+/// just before its loop, and writers begin only once every reader has.
+/// Without it the short write phase can finish before a freshly spawned
+/// reader is ever scheduled, and the liveness assertion fails spuriously.
+/// (A `Barrier` is not enough: its wake-up can let the writes finish
+/// before a reader runs again.)
+#[derive(Default)]
+struct StartLine(AtomicUsize);
+
+impl StartLine {
+    fn reader_running(&self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+    fn wait_for_readers(&self) {
+        spin_until(|| self.0.load(Ordering::SeqCst) == READERS);
+    }
+}
+
 #[test]
 fn dist_rw_early_out_never_admits_reader_under_writer() {
     let lock = Arc::new(DistRwLock::new(0u64, READERS));
     let mon = Arc::new(Monitor::default());
     let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(StartLine::default());
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|_| {
-            let (lock, mon) = (Arc::clone(&lock), Arc::clone(&mon));
+            let (lock, mon, start) = (Arc::clone(&lock), Arc::clone(&mon), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait_for_readers();
                 for _ in 0..WRITES_EACH {
                     let mut g = lock.write();
                     mon.enter_write();
@@ -84,8 +104,10 @@ fn dist_rw_early_out_never_admits_reader_under_writer() {
 
     let readers: Vec<_> = (0..READERS)
         .map(|slot| {
-            let (lock, mon, stop) = (Arc::clone(&lock), Arc::clone(&mon), Arc::clone(&stop));
+            let (lock, mon) = (Arc::clone(&lock), Arc::clone(&mon));
+            let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.reader_running();
                 let mut seen = 0u64;
                 let mut last = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -122,11 +144,13 @@ fn strong_try_early_out_never_admits_reader_under_writer() {
     let lock = Arc::new(StrongTryRwLock::with_reader_slots(0u64, READERS));
     let mon = Arc::new(Monitor::default());
     let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(StartLine::default());
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|_| {
-            let (lock, mon) = (Arc::clone(&lock), Arc::clone(&mon));
+            let (lock, mon, start) = (Arc::clone(&lock), Arc::clone(&mon), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait_for_readers();
                 for _ in 0..WRITES_EACH {
                     let mut g = lock.write();
                     mon.enter_write();
@@ -139,8 +163,10 @@ fn strong_try_early_out_never_admits_reader_under_writer() {
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
-            let (lock, mon, stop) = (Arc::clone(&lock), Arc::clone(&mon), Arc::clone(&stop));
+            let (lock, mon) = (Arc::clone(&lock), Arc::clone(&mon));
+            let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.reader_running();
                 let mut seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     if let Some(g) = lock.try_read() {

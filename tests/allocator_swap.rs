@@ -10,10 +10,23 @@
 #[global_allocator]
 static ALLOC: prep_pmem::alloc::SwappableAllocator = prep_pmem::alloc::SwappableAllocator::new();
 
+use std::sync::{Mutex, MutexGuard};
+
 use prep_pmem::alloc::{global_arena, persistent_allocation_enabled, with_persistent};
 use prep_seqds::list::{SetOp, SetResp, SortedList};
 use prep_topology::Topology;
 use prep_uc::{DurabilityLevel, PmemRuntime, PrepConfig, PrepUc};
+
+/// The arena and its op counters are process-wide, and the test harness
+/// runs tests in parallel: one test's persistent allocations would land in
+/// another's counting window or take the block it expects to reuse. Each
+/// test holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock leaves nothing to repair.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cfg() -> PrepConfig {
     PrepConfig::new(DurabilityLevel::Buffered)
@@ -24,6 +37,7 @@ fn cfg() -> PrepConfig {
 
 #[test]
 fn persistence_thread_allocates_sequential_nodes_in_the_arena() {
+    let _serial = serial();
     // Touch the arena once so baseline counters exist.
     let _warm = with_persistent(|| Box::new(0u64));
     let (allocs_before, _) = global_arena().op_counts();
@@ -56,6 +70,7 @@ fn persistence_thread_allocates_sequential_nodes_in_the_arena() {
 
 #[test]
 fn worker_allocations_do_not_touch_the_arena() {
+    let _serial = serial();
     let _warm = with_persistent(|| Box::new(0u64));
     let (before, _) = global_arena().op_counts();
     // A purely volatile allocation storm on this thread.
@@ -73,6 +88,7 @@ fn worker_allocations_do_not_touch_the_arena() {
 
 #[test]
 fn cross_mode_drop_routes_by_pointer_range() {
+    let _serial = serial();
     // Allocate persistently, drop in volatile mode (what happens when a
     // recovered replica is rebuilt): must not crash or double count.
     let b = with_persistent(|| Box::new([0u8; 256]));

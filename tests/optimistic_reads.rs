@@ -11,8 +11,8 @@
 //! * **Torn reads** — a multi-word invariant (`N` words all equal) must
 //!   never be observed mid-write; validation failure must discard the
 //!   torn snapshot rather than return it.
-//! * **Cross-mode agreement** — Centralized, Distributed, Optimistic and
-//!   Adaptive modes are semantically interchangeable.
+//! * **Cross-mode agreement** — Centralized, Distributed and Optimistic
+//!   modes are semantically interchangeable.
 //! * **Recovery** — after a crash, optimistic reads on the recovered
 //!   instance see exactly the recovered prefix, never post-cut state.
 
@@ -77,15 +77,6 @@ proptest! {
         );
     }
 
-    /// Same property under the adaptive selector, which migrates between
-    /// the slot path, the shared line, and the optimistic path mid-run.
-    #[test]
-    fn adaptive_nr_read_heavy_histories_linearize(seed in 0u64..1u64 << 32) {
-        prop_assert!(
-            linearizable_under(FairnessMode::Adaptive, seed),
-            "Adaptive NR produced a non-linearizable history (seed {seed})"
-        );
-    }
 }
 
 /// A sequential object built to make torn reads visible: `WORDS` words
@@ -156,64 +147,62 @@ impl SequentialObject for TornDetector {
 /// the direct test that seqlock validation discards torn reads.
 #[test]
 fn optimistic_reads_are_never_torn() {
-    for fairness in [FairnessMode::Optimistic, FairnessMode::Adaptive] {
-        const READERS: usize = 3;
-        let asg = Topology::new(2, 4, 1).assign_workers(READERS + 1);
-        let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
-            TornDetector::new(),
-            asg,
-            128,
-            NoopHooks,
-            fairness,
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
+    const READERS: usize = 3;
+    let asg = Topology::new(2, 4, 1).assign_workers(READERS + 1);
+    let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
+        TornDetector::new(),
+        asg,
+        128,
+        NoopHooks,
+        FairnessMode::Optimistic,
+    ));
+    let stop = Arc::new(AtomicBool::new(false));
 
-        let writer = {
+    let writer = {
+        let nr = Arc::clone(&nr);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let t = nr.register(0);
+            let mut v = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                nr.execute(&t, TornOp::SetAll(v));
+                v += 1;
+            }
+            v
+        })
+    };
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
             let nr = Arc::clone(&nr);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let t = nr.register(0);
-                let mut v = 1u64;
+                let t = nr.register(1 + r);
+                let mut reads = 0u64;
+                let mut last_seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    nr.execute(&t, TornOp::SetAll(v));
-                    v += 1;
+                    let (min, max) = nr.execute(&t, TornOp::ReadAll);
+                    assert_eq!(min, max, "torn read escaped validation");
+                    // Values a single reader observes are monotone
+                    // (the writer only counts up).
+                    assert!(min >= last_seen, "read went backwards");
+                    last_seen = min;
+                    reads += 1;
                 }
-                v
+                reads
             })
-        };
-        let readers: Vec<_> = (0..READERS)
-            .map(|r| {
-                let nr = Arc::clone(&nr);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let t = nr.register(1 + r);
-                    let mut reads = 0u64;
-                    let mut last_seen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let (min, max) = nr.execute(&t, TornOp::ReadAll);
-                        assert_eq!(min, max, "torn read escaped validation ({fairness:?})");
-                        // Values a single reader observes are monotone
-                        // (the writer only counts up).
-                        assert!(min >= last_seen, "read went backwards ({fairness:?})");
-                        last_seen = min;
-                        reads += 1;
-                    }
-                    reads
-                })
-            })
-            .collect();
+        })
+        .collect();
 
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        let total_reads: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total_reads > 0, "readers made no progress ({fairness:?})");
-    }
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    stop.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    let total_reads: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(total_reads > 0, "readers made no progress");
 }
 
 /// All read-path modes agree on final state under an owned-key update
 /// discipline with interleaved reads (extends `readpath.rs`'s three-mode
-/// agreement test to the optimistic and adaptive modes).
+/// agreement test to the optimistic mode).
 #[test]
 fn optimistic_modes_agree_with_lock_modes_on_final_state() {
     const WORKERS: usize = 4;
@@ -223,7 +212,6 @@ fn optimistic_modes_agree_with_lock_modes_on_final_state() {
         FairnessMode::Throughput,
         FairnessMode::ThroughputCentralized,
         FairnessMode::Optimistic,
-        FairnessMode::Adaptive,
     ] {
         let asg = Topology::new(2, 4, 1).assign_workers(WORKERS);
         let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(

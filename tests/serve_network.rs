@@ -46,7 +46,7 @@ fn server() -> Server {
             latency: LatencyModel::off(),
             crash_sim: true,
             watch_signals: false,
-            fairness: prep_uc::FairnessMode::Adaptive,
+            ..ServeConfig::default()
         },
         "127.0.0.1:0",
     )
