@@ -162,9 +162,11 @@ pub fn run(opts: &RunOpts) {
 /// the other BENCH_*.json baselines: flat fields, one object per cell.
 fn write_json(opts: &RunOpts, records: &[Record], crash: &RunReport, ttfr_us: Option<f64>) {
     let mut out = String::from("{\n  \"bench\": \"serve\",\n");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     out.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"latency_model\": \"off\",\n  \"cells\": [\n",
+        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"nproc\": {nproc},\n  \"latency_model\": \"off\",\n  \"cells\": [\n",
         if opts.full { "full" } else { "quick" },
+        opts.seconds
     ));
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };

@@ -13,11 +13,11 @@
 //!   crash injection with time-to-first-response measurement.
 //!
 //! All wall-clock access lives in [`clock`]; the rest of the crate —
-//! like the server it drives — never touches `Instant` directly.
-//! The crate's one unsafe site is [`run`]'s `ppoll(2)` binding.
+//! like the server it drives — never touches `Instant` directly. Waits
+//! for responses block in `ppoll(2)` through [`prep_sync::poll`].
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod arrivals;
 pub mod clock;

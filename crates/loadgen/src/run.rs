@@ -23,10 +23,10 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use prep_serve::proto::{self, AckLevel, AdminCmd, Request, Response};
+use prep_sync::poll::wait_readable;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -458,7 +458,7 @@ fn receive_until(
         if now >= deadline_ns {
             return Ok(());
         }
-        if !wait_readable(stream, deadline_ns - now)? {
+        if !wait_readable(stream, Duration::from_nanos(deadline_ns - now))? {
             continue;
         }
         match stream.read(tmp) {
@@ -473,53 +473,6 @@ fn receive_until(
             Err(e) => return Err(e),
         }
     }
-}
-
-/// `struct pollfd` of `poll(2)`.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-/// `struct timespec` (64-bit Linux).
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-extern "C" {
-    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
-}
-
-/// Blocks until `stream` has data (or end of stream, or an error) to read,
-/// or `timeout_ns` has passed. Returns whether a `read` will not block; a
-/// signal interrupting the wait reads as a timeout.
-fn wait_readable(stream: &TcpStream, timeout_ns: u64) -> std::io::Result<bool> {
-    const POLLIN: i16 = 0x1;
-    let mut fd = PollFd {
-        fd: stream.as_raw_fd(),
-        events: POLLIN,
-        revents: 0,
-    };
-    let t = Timespec {
-        tv_sec: (timeout_ns / 1_000_000_000) as i64,
-        tv_nsec: (timeout_ns % 1_000_000_000) as i64,
-    };
-    // SAFETY: `fd` and `t` are live locals that outlive the call; ppoll
-    // reads one `PollFd` and the timeout, writes only `fd.revents`, and a
-    // null signal mask leaves the thread's mask unchanged.
-    let ready = unsafe { ppoll(&mut fd, 1, &t, std::ptr::null()) };
-    if ready < 0 {
-        let e = std::io::Error::last_os_error();
-        return match e.kind() {
-            std::io::ErrorKind::Interrupted => Ok(false),
-            _ => Err(e),
-        };
-    }
-    Ok(ready > 0 && fd.revents != 0)
 }
 
 /// Accounts one response against the pending table.

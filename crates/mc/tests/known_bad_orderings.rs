@@ -1,6 +1,6 @@
 //! Seeded-mutation corpus: hand-written miniatures of the prep-sync
 //! protocols, each in a correct form and a deliberately broken form that
-//! reproduces a historical ordering bug class. The checker must pass
+//! reproduces a historical (or easy-to-make) ordering bug class. The checker must pass
 //! every clean variant and catch every mutant with a replayable
 //! counterexample — this is the regression net that keeps prep-mc honest
 //! (mirroring the known-bad-traces corpora shipped with sanitizers).
@@ -8,7 +8,7 @@
 //! These drive `prep_mc::cell` directly, so the file runs in both normal
 //! and `--cfg prep_mc` builds.
 
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
 use prep_mc::cell::{fence, AtomicU64, PeekCell};
@@ -241,4 +241,79 @@ fn dist_rw_relaxed_writer_publish_is_caught() {
 fn strong_try_missing_recheck_is_caught() {
     let f = expect_caught("strong-try-no-recheck", || dist_rw_scenario(SeqCst, false));
     assert_eq!(f.kind, FailureKind::DataRace, "expected overlap: {f:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Miniature Doorbell: sleeper count + ring epoch, the eventcount handshake.
+// ---------------------------------------------------------------------------
+
+struct MiniBell {
+    sleepers: AtomicU64,
+    epoch: AtomicU64,
+    flag: AtomicU64,
+}
+
+impl MiniBell {
+    fn new() -> Self {
+        MiniBell {
+            sleepers: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            flag: AtomicU64::new(0),
+        }
+    }
+
+    /// Ringer: publish the event (SeqCst, per the doorbell contract), then
+    /// check for sleepers with `check` and bump the epoch if any.
+    fn ring(&self, check: std::sync::atomic::Ordering) {
+        self.flag.store(1, SeqCst);
+        if self.sleepers.load(check) != 0 {
+            self.epoch.fetch_add(1, SeqCst);
+        }
+    }
+
+    /// Waiter: register with `register`, snapshot the epoch, recheck the
+    /// flag, and block (a model yield) while the epoch is unchanged.
+    fn wait(&self, register: std::sync::atomic::Ordering) {
+        while self.flag.load(SeqCst) == 0 {
+            self.sleepers.fetch_add(1, register);
+            let seen = self.epoch.load(SeqCst);
+            if self.flag.load(SeqCst) == 0 {
+                while self.epoch.load(SeqCst) == seen {
+                    thread::yield_now();
+                }
+            }
+            self.sleepers.fetch_sub(1, Relaxed);
+        }
+    }
+}
+
+fn doorbell_scenario(register: std::sync::atomic::Ordering, check: std::sync::atomic::Ordering) {
+    let b = Arc::new(MiniBell::new());
+    let b2 = Arc::clone(&b);
+    let r = thread::spawn(move || b2.ring(check));
+    b.wait(register);
+    r.join().unwrap();
+}
+
+/// Baseline: a SeqCst registration and a SeqCst sleeper check never lose
+/// a ring.
+#[test]
+fn doorbell_clean_handshake_passes() {
+    expect_clean("doorbell-clean", || doorbell_scenario(SeqCst, SeqCst));
+}
+
+/// Mutant 5 (Doorbell): an AcqRel registration and a Relaxed sleeper
+/// check break the store-buffering pair — the ringer reads no sleeper
+/// while the waiter's recheck misses the event, and the waiter blocks
+/// forever (the checker's livelock).
+#[test]
+fn doorbell_weak_handshake_is_caught() {
+    let f = expect_caught("doorbell-weak-handshake", || {
+        doorbell_scenario(AcqRel, Relaxed)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a lost wakeup: {f:?}"
+    );
 }

@@ -25,4 +25,4 @@ pub mod server;
 pub mod signals;
 
 pub use proto::{AckLevel, AdminCmd, Request, Response, WireShard, WireStats};
-pub use server::{ServeConfig, Server, ShutdownReport, Store};
+pub use server::{PipelineSnapshot, ServeConfig, Server, ShutdownReport, Store};

@@ -25,6 +25,36 @@
 //! overloaded shard sheds load at the wire instead of growing latency
 //! without bound.
 //!
+//! ## Threads and hand-offs: block, don't poll
+//!
+//! | thread | count | blocks, when idle, on |
+//! |---|---|---|
+//! | `serve-accept` | 1 | `ppoll` on the listener + its wake socket |
+//! | `serve-conn-{c}` | `conn_threads` | `ppoll` on its sockets + its wake socket |
+//! | `serve-exec-{s}-{e}` | `shards × executors_per_shard` | its shard's executor doorbell |
+//! | `serve-dur-{s}` | `shards` | its shard's drainer doorbell |
+//! | `serve-control` | 1 | the lifecycle doorbell |
+//!
+//! Every hand-off wakes the thread that waits for it, so an idle server
+//! costs no CPU and a request pays no polling delay: the acceptor hands a
+//! socket to a connection thread and writes one byte to that thread's
+//! wake socket (a `UnixStream` pair); `dispatch` pushes a job and rings
+//! the shard's executor [`Doorbell`] once; `finish_update` pushes a
+//! durable ack and rings the drainer's. The lifecycle doorbell is rung at
+//! every state change and control-queue push; parked workers and
+//! [`Server::join`] wait on it too, and the stop transition also wakes
+//! the acceptor and every connection thread through their wake sockets.
+//! A doorbell waiter spins and yields briefly before it blocks, so a
+//! thread under load is not put to sleep between requests, and a ring
+//! costs one load when nobody sleeps. Only a control thread that watches
+//! the process signal flag wakes on a timer (every 10 ms), since a signal
+//! handler cannot ring. A connection write that would block waits in
+//! `ppoll` for `POLLOUT`.
+//!
+//! What still polls, by design: the drainer's wait for the durability
+//! watermark (a `prep-uc` wait, with its checkpoint nudge), the crash and
+//! shutdown barriers (rare, bounded), and the short `TryLock` spins.
+//!
 //! ## Ack release points
 //!
 //! *Buffered* acks are written by the executor as soon as `execute`
@@ -42,11 +72,16 @@
 //!
 //! `ADMIN CRASH` (crash-sim servers): the control thread moves the server
 //! to `Crashing`; connection threads answer `RETRY`, executors and
-//! drainers park — **pending durable acks are downgraded to `RETRY`**
-//! (those ops may or may not survive the cut, so they must not be acked
-//! `Done`; but unlike a real power failure the TCP connection survives the
-//! simulated one, so silence would wedge clients — `RETRY` claims nothing
-//! and keeps the one-response-per-frame invariant).
+//! drainers park. Once every worker has parked, **pending durable acks are
+//! downgraded to `RETRY`** by the control thread (those ops may or may not
+//! survive the cut, so they must not be acked `Done`; but unlike a real
+//! power failure the TCP connection survives the simulated one, so silence
+//! would wedge clients — `RETRY` claims nothing and keeps the
+//! one-response-per-frame invariant). The downgrade waits for the park
+//! barrier because an executor can still queue an ack after its shard's
+//! drainer parked; left queued, that ack's cover indexes the old log, and
+//! on the recovered store it was either never released (a hang) or
+//! released `Done` for an op the cut may have lost.
 //! Only after every worker has parked is the cut captured, so every ack
 //! that reached a client precedes the cut: durable-acked ops are always in
 //! the recovered image, and buffered-acked loss stays within the store's
@@ -64,12 +99,15 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
 use prep_shard::{shard_index, ShardedStore};
-use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter};
+use prep_sync::poll::{self as ppoll, PollFd, POLLIN};
+use prep_sync::{spin_until, Doorbell, TicketLock, TryLock, TryLockGuard, Waiter};
 use prep_topology::{ThreadAssignment, Topology};
 use prep_uc::{DurabilityLevel, FairnessMode, LatencyModel, PmemRuntime, PrepConfig};
 
@@ -177,22 +215,23 @@ struct ConnIo {
 }
 
 impl ConnIo {
-    /// Writes one already-encoded frame; short writes and `WouldBlock`
-    /// (the stream is non-blocking) are retried under the lock. Errors are
-    /// swallowed — a dead connection is detected and reaped by its reader.
+    /// Writes one already-encoded frame; short writes are retried under
+    /// the lock, and `WouldBlock` (the stream is non-blocking) waits in
+    /// `ppoll` for the socket to drain. Errors are swallowed — a dead
+    /// connection is detected and reaped by its reader.
     fn send(&self, frame: &[u8]) {
         let _g = self.wlock.lock();
         let mut s = &self.stream;
         let mut off = 0;
-        let mut w = Waiter::new();
         while off < frame.len() {
             match s.write(&frame[off..]) {
                 Ok(0) => return,
-                Ok(n) => {
-                    off += n;
-                    w.reset();
+                Ok(n) => off += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if ppoll::wait_writable(&self.stream).is_err() {
+                        return;
+                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => w.wait(),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
@@ -242,11 +281,15 @@ struct Pipeline {
     len: AtomicUsize,
     /// Executors currently inside `execute` (drain barrier).
     busy: AtomicUsize,
+    /// Idle executors block here; rung once per pushed job.
+    exec_bell: Doorbell,
     /// Durable acks awaiting their covering persist.
     dur_queue: TryLock<VecDeque<DurAck>>,
     /// Durable acks pending release (decremented only after the ack is on
     /// the wire, so `0` means every accepted durable op has been acked).
     dur_len: AtomicUsize,
+    /// The idle drainer blocks here; rung once per pushed durable ack.
+    dur_bell: Doorbell,
 }
 
 impl Pipeline {
@@ -255,9 +298,46 @@ impl Pipeline {
             queue: TryLock::new(VecDeque::new()),
             len: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
+            exec_bell: Doorbell::new(),
             dur_queue: TryLock::new(VecDeque::new()),
             dur_len: AtomicUsize::new(0),
+            dur_bell: Doorbell::new(),
         }
+    }
+}
+
+/// A socket pair a thread blocked in `ppoll` also polls, so another
+/// thread can wake it with one byte: the acceptor wakes a connection
+/// thread when it hands over a socket, and the stop transition wakes
+/// every polling thread. A byte stays pending until the woken thread
+/// drains it, so a wake sent before the thread blocks is not lost.
+struct WakeSocket {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl WakeSocket {
+    fn new() -> std::io::Result<Self> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(WakeSocket { rx, tx })
+    }
+
+    /// Makes the owner's next (or current) `ppoll` return. A full buffer
+    /// (`WouldBlock`) means a wake is already pending.
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes pending wakes.
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
+    }
+
+    fn pollfd(&self) -> PollFd {
+        PollFd::new(&self.rx, POLLIN)
     }
 }
 
@@ -271,12 +351,12 @@ struct Counters {
     crashes: AtomicU64,
 }
 
-/// Shared server state.
 /// One queued admin command: the verb, the request id to echo, and the
 /// connection to answer on (`None` for process-internal requests, e.g.
 /// the signal-driven shutdown).
 type ControlMsg = (AdminCmd, u64, Option<Arc<ConnIo>>);
 
+/// Shared server state.
 struct Inner {
     cfg: ServeConfig,
     assignment: ThreadAssignment,
@@ -289,8 +369,15 @@ struct Inner {
     pipelines: Vec<Pipeline>,
     /// Admin commands routed to the control thread.
     control: TryLock<VecDeque<ControlMsg>>,
+    /// The control thread, parked workers and `Server::join` block here;
+    /// rung at every state change and control-queue push.
+    lifecycle: Doorbell,
     /// Per-connection-thread inbox of freshly accepted sockets.
     conn_inbox: Vec<TryLock<Vec<TcpStream>>>,
+    /// Per-connection-thread wake socket (new inbox entry, stop).
+    conn_wake: Vec<WakeSocket>,
+    /// The acceptor's wake socket (stop).
+    accept_wake: WakeSocket,
     /// Workers (executors + drainers) currently parked for a crash.
     parked: AtomicUsize,
     counters: Counters,
@@ -299,9 +386,36 @@ struct Inner {
 impl Inner {
     #[inline]
     fn state(&self) -> u8 {
-        // ord: Acquire pairs with the control thread's Release transitions;
-        // observing DRAINING/STOPPED implies the decision that caused it.
-        self.state.load(Ordering::Acquire)
+        // ord: SeqCst — waits on the doorbells read the state in their
+        // condition, against `set_state`'s SeqCst store (the doorbell
+        // handshake); it also orders after the decision that caused it.
+        self.state.load(Ordering::SeqCst)
+    }
+
+    /// Moves the lifecycle to `s` and wakes every thread that blocks on
+    /// it. A generation bump is announced by the `RUNNING` transition that
+    /// follows it.
+    fn set_state(&self, s: u8) {
+        // ord: SeqCst — the state half of the doorbell handshake: every
+        // waiter's condition rereads it with SeqCst after registering.
+        self.state.store(s, Ordering::SeqCst);
+        self.lifecycle.ring();
+        for pl in &self.pipelines {
+            pl.exec_bell.ring();
+            pl.dur_bell.ring();
+        }
+        if s == STOPPED {
+            self.accept_wake.wake();
+            for w in &self.conn_wake {
+                w.wake();
+            }
+        }
+    }
+
+    /// Queues an admin command for the control thread.
+    fn push_control(&self, msg: ControlMsg) {
+        self.locked(&self.control).push_back(msg);
+        self.lifecycle.ring();
     }
 
     /// Spin-acquires a `TryLock` (none of these sections block or do IO,
@@ -316,14 +430,14 @@ impl Inner {
         }
     }
 
-    /// Clones the current store handle, waiting out a crash swap.
+    /// Clones the current store handle, waiting out a crash swap: the
+    /// store is absent only while the server is `CRASHING`.
     fn store_arc(&self) -> Arc<Store> {
-        let mut w = Waiter::new();
         loop {
             if let Some(s) = self.locked(&self.store).as_ref() {
                 return Arc::clone(s);
             }
-            w.wait();
+            self.lifecycle.wait_while(|| self.state() == CRASHING);
         }
     }
 }
@@ -348,6 +462,21 @@ pub struct ShutdownReport {
     /// The quiesced store, for post-shutdown inspection (tests capture a
     /// cut from it to prove zero loss).
     pub store: Arc<Store>,
+}
+
+/// A point-in-time view of the lifecycle and the pipelines, for telling
+/// where a stuck server waits ([`Server::snapshot`]).
+#[derive(Clone, Debug)]
+pub struct PipelineSnapshot {
+    /// Lifecycle state: `running`, `crashing`, `draining` or `stopped`.
+    pub state: &'static str,
+    /// Crash-recovery generation.
+    pub generation: u64,
+    /// Executors and drainers parked for a crash.
+    pub parked: usize,
+    /// Per shard: `(len, busy, dur_len)` — queued jobs, executors inside
+    /// `execute`, durable acks not yet released.
+    pub shards: Vec<(usize, usize, usize)>,
 }
 
 /// A running KV server; see the module docs for the architecture.
@@ -385,9 +514,14 @@ impl Server {
             store: TryLock::new(Some(store)),
             pipelines: (0..cfg.shards).map(|_| Pipeline::new()).collect(),
             control: TryLock::new(VecDeque::new()),
+            lifecycle: Doorbell::new(),
             conn_inbox: (0..cfg.conn_threads)
                 .map(|_| TryLock::new(Vec::new()))
                 .collect(),
+            conn_wake: (0..cfg.conn_threads)
+                .map(|_| WakeSocket::new())
+                .collect::<std::io::Result<_>>()?,
+            accept_wake: WakeSocket::new()?,
             parked: AtomicUsize::new(0),
             counters: Counters::default(),
             cfg,
@@ -455,9 +589,31 @@ impl Server {
     /// Asks the control thread to drain and stop (same path as
     /// `ADMIN SHUTDOWN` and SIGTERM). Returns immediately.
     pub fn request_shutdown(&self) {
-        self.inner
-            .locked(&self.inner.control)
-            .push_back((AdminCmd::Shutdown, 0, None));
+        self.inner.push_control((AdminCmd::Shutdown, 0, None));
+    }
+
+    /// The lifecycle state and per-shard pipeline counters right now.
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        let inner = &self.inner;
+        // ord: diagnostic reads of counters the pipeline keeps exact;
+        // Relaxed, as nothing is published through them here.
+        let load = |a: &AtomicUsize| a.load(Ordering::Relaxed);
+        PipelineSnapshot {
+            state: match inner.state() {
+                RUNNING => "running",
+                CRASHING => "crashing",
+                DRAINING => "draining",
+                _ => "stopped",
+            },
+            // ord: diagnostic read (Relaxed).
+            generation: inner.generation.load(Ordering::Relaxed),
+            parked: load(&inner.parked),
+            shards: inner
+                .pipelines
+                .iter()
+                .map(|pl| (load(&pl.len), load(&pl.busy), load(&pl.dur_len)))
+                .collect(),
+        }
     }
 
     /// Crash-recovery cycles performed so far.
@@ -478,7 +634,8 @@ impl Server {
     /// `ADMIN SHUTDOWN`, or a watched signal), then joins every thread and
     /// reports.
     pub fn join(self) -> ShutdownReport {
-        spin_until(|| self.inner.state() == STOPPED);
+        let inner = &self.inner;
+        inner.lifecycle.wait_while(|| inner.state() != STOPPED);
         for t in self.threads {
             let _ = t.join();
         }
@@ -504,10 +661,11 @@ impl Server {
     }
 }
 
-/// Accept loop: hands sockets to connection threads round-robin.
+/// Accept loop: hands sockets to connection threads round-robin, waking
+/// the receiving thread; blocks in `ppoll` on the listener between
+/// connections.
 fn acceptor_loop(inner: Arc<Inner>, listener: TcpListener) {
     let mut next = 0usize;
-    let mut w = Waiter::new();
     loop {
         if inner.state() == STOPPED {
             return;
@@ -518,28 +676,45 @@ fn acceptor_loop(inner: Arc<Inner>, listener: TcpListener) {
                 let _ = stream.set_nonblocking(true);
                 // ord: monotone counter (Relaxed).
                 inner.counters.connections.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .locked(&inner.conn_inbox[next % inner.cfg.conn_threads])
-                    .push(stream);
+                let c = next % inner.cfg.conn_threads;
+                inner.locked(&inner.conn_inbox[c]).push(stream);
+                inner.conn_wake[c].wake();
                 next = next.wrapping_add(1);
-                w.reset();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => w.wait(),
-            Err(_) => w.wait(),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let mut fds = [PollFd::new(&listener, POLLIN), inner.accept_wake.pollfd()];
+                let _ = ppoll::poll(&mut fds, None);
+                inner.accept_wake.drain();
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Out of descriptors or similar: the listener stays readable,
+            // so back off on the wake socket alone before retrying.
+            Err(_) => {
+                let _ = ppoll::poll(&mut [inner.accept_wake.pollfd()], Some(ACCEPT_BACKOFF));
+            }
         }
     }
 }
+
+/// How long the acceptor backs off after an `accept` error other than
+/// `WouldBlock` (e.g. `EMFILE`).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// One connection's reader-side state.
 struct ConnState {
     io: Arc<ConnIo>,
     rbuf: Vec<u8>,
+    /// The last `ppoll` reported the socket readable (or it is new).
+    ready: bool,
 }
 
 /// Connection thread: owns a set of connections, reads frames, dispatches.
+/// Between reads it blocks in `ppoll` over its sockets and its wake
+/// socket, and services only the sockets `ppoll` reported ready.
 fn conn_loop(inner: Arc<Inner>, index: usize) {
     let mut conns: Vec<ConnState> = Vec::new();
-    let mut w = Waiter::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let wake = &inner.conn_wake[index];
     loop {
         let st = inner.state();
         if st == STOPPED {
@@ -557,22 +732,27 @@ fn conn_loop(inner: Arc<Inner>, index: usize) {
                         wlock: TicketLock::new(),
                     }),
                     rbuf: Vec::new(),
+                    ready: true,
                 });
             }
         }
-        let mut progress = false;
-        conns.retain_mut(|conn| service_conn(&inner, st, conn, &mut progress));
-        if progress {
-            w.reset();
-        } else {
-            w.wait();
+        conns.retain_mut(|conn| !conn.ready || service_conn(&inner, st, conn));
+        fds.clear();
+        fds.push(wake.pollfd());
+        fds.extend(conns.iter().map(|c| PollFd::new(&c.io.stream, POLLIN)));
+        let _ = ppoll::poll(&mut fds, None);
+        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+            conn.ready = fd.ready();
+        }
+        if fds[0].ready() {
+            wake.drain();
         }
     }
 }
 
 /// Reads and dispatches everything currently available on one connection.
 /// Returns false when the connection should be dropped.
-fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState, progress: &mut bool) -> bool {
+fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState) -> bool {
     let mut tmp = [0u8; 4096];
     loop {
         let mut s = &conn.io.stream;
@@ -580,7 +760,6 @@ fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState, progress: &mut
             Ok(0) => return false,
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&tmp[..n]);
-                *progress = true;
                 if n < tmp.len() {
                     break;
                 }
@@ -611,9 +790,7 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
     let id = req.id();
     let (shard, job) = match req {
         Request::Admin { id, cmd } => {
-            inner
-                .locked(&inner.control)
-                .push_back((cmd, id, Some(Arc::clone(io))));
+            inner.push_control((cmd, id, Some(Arc::clone(io))));
             return;
         }
         Request::Get { id, key } => (
@@ -677,8 +854,8 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
         }
     }
     let pl = &inner.pipelines[shard];
-    // ord: Acquire pairs with push/pop AcqRel updates; a stale full reading
-    // only sheds one request early, never overfills (rechecked under lock).
+    // ord: Acquire pairs with push/pop updates; a stale full reading only
+    // sheds one request early, never overfills (rechecked under lock).
     if pl.len.load(Ordering::Acquire) >= inner.cfg.queue_depth {
         // ord: monotone counter (Relaxed).
         inner.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -694,8 +871,12 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
         return;
     }
     q.push_back(job);
-    // ord: AcqRel keeps the mirror exact under concurrent push/pop.
-    pl.len.fetch_add(1, Ordering::AcqRel);
+    // ord: SeqCst — the state half of the executors' doorbell handshake
+    // (their idle condition rereads `len` with SeqCst); as an RMW it also
+    // keeps the mirror exact under concurrent push/pop.
+    pl.len.fetch_add(1, Ordering::SeqCst);
+    drop(q);
+    pl.exec_bell.ring_one();
 }
 
 /// Why an executor/drainer left its per-generation loop.
@@ -708,9 +889,10 @@ enum After {
 /// submission queue. β of these per shard is the combiner-batch alignment.
 fn executor_loop(inner: Arc<Inner>, shard: usize, worker: usize) {
     loop {
-        // ord: Acquire pairs with the control thread's generation bump
-        // Release after recovery installs the new store.
-        let gen = inner.generation.load(Ordering::Acquire);
+        // ord: SeqCst pairs with recovery's generation bump, made after
+        // it installs the new store (SeqCst: `park` rereads it in a
+        // doorbell condition).
+        let gen = inner.generation.load(Ordering::SeqCst);
         let store = inner.store_arc();
         let token = store.register(worker);
         let after = executor_generation(&inner, &store, &token, shard);
@@ -733,15 +915,15 @@ fn park(inner: &Arc<Inner>, gen: u64) -> bool {
     // ord: AcqRel — the Release half publishes this worker's dropped store
     // handle to the control thread's parked-count Acquire spin.
     inner.parked.fetch_add(1, Ordering::AcqRel);
-    let mut w = Waiter::new();
-    let resume = loop {
-        match inner.state() {
-            STOPPED => break false,
-            // ord: Acquire pairs with recovery's generation-bump Release.
-            RUNNING if inner.generation.load(Ordering::Acquire) != gen => break true,
-            _ => w.wait(),
-        }
+    let parked = || match inner.state() {
+        STOPPED => false,
+        // ord: SeqCst pairs with recovery's generation bump (doorbell
+        // condition).
+        RUNNING => inner.generation.load(Ordering::SeqCst) == gen,
+        _ => true,
     };
+    inner.lifecycle.wait_while(parked);
+    let resume = inner.state() != STOPPED;
     // ord: AcqRel, symmetric with the increment above.
     inner.parked.fetch_sub(1, Ordering::AcqRel);
     resume
@@ -755,7 +937,12 @@ fn executor_generation(
     shard: usize,
 ) -> After {
     let pl = &inner.pipelines[shard];
-    let mut w = Waiter::new();
+    // Idle: nothing queued and no state change to act on.
+    let idle = || {
+        // ord: SeqCst — the waiter half of the doorbell handshake with
+        // dispatch's SeqCst push count.
+        pl.len.load(Ordering::SeqCst) == 0 && matches!(inner.state(), RUNNING | DRAINING)
+    };
     loop {
         match inner.state() {
             CRASHING => return After::Park,
@@ -789,12 +976,11 @@ fn executor_generation(
                 execute_job(inner, store, token, shard, job);
                 // ord: AcqRel, symmetric with the raise above.
                 pl.busy.fetch_sub(1, Ordering::AcqRel);
-                w.reset();
             }
             None => {
                 // ord: AcqRel, symmetric with the raise above.
                 pl.busy.fetch_sub(1, Ordering::AcqRel);
-                w.wait();
+                pl.exec_bell.wait_while(idle);
             }
         }
     }
@@ -861,6 +1047,7 @@ fn finish_update(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, job: &Job
         frame,
         conn: Arc::clone(&job.conn),
     });
+    pl.dur_bell.ring();
 }
 
 /// Durability drainer: releases durable acks once their covering
@@ -868,8 +1055,8 @@ fn finish_update(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, job: &Job
 /// the wait escalates.
 fn drainer_loop(inner: Arc<Inner>, shard: usize) {
     loop {
-        // ord: Acquire pairs with recovery's generation-bump Release.
-        let gen = inner.generation.load(Ordering::Acquire);
+        // ord: SeqCst, as in `executor_loop`.
+        let gen = inner.generation.load(Ordering::SeqCst);
         let store = inner.store_arc();
         let after = drainer_generation(&inner, &store, shard);
         drop(store);
@@ -886,30 +1073,16 @@ fn drainer_loop(inner: Arc<Inner>, shard: usize) {
 
 fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> After {
     let pl = &inner.pipelines[shard];
-    let mut w = Waiter::new();
+    // Idle: no durable ack queued and no state change to act on. The
+    // queue is checked under the lock `finish_update` pushes under, which
+    // orders the check against the push the doorbell announces.
+    let idle =
+        || inner.locked(&pl.dur_queue).is_empty() && matches!(inner.state(), RUNNING | DRAINING);
     loop {
         match inner.state() {
-            CRASHING => {
-                // The crash interrupts every pending durable ack before
-                // its covering persist: those ops may or may not survive
-                // the cut, so they must NOT be acked `Done` — but the TCP
-                // connection outlives the simulated power failure, so
-                // silence would wedge the client forever. Downgrade each
-                // to `RETRY` (no durability claim; the client replays),
-                // preserving the invariant that every frame gets exactly
-                // one response.
-                let dropped: Vec<DurAck> = {
-                    let mut q = inner.locked(&pl.dur_queue);
-                    q.drain(..).collect()
-                };
-                let n = dropped.len();
-                for ack in dropped {
-                    ack.conn.respond(&Response::Retry { id: ack.id });
-                }
-                // ord: AcqRel pairs with the drain barrier's Acquire.
-                pl.dur_len.fetch_sub(n, Ordering::AcqRel);
-                return After::Park;
-            }
+            // Acks still queued are downgraded by the control thread once
+            // every worker has parked (`do_crash`).
+            CRASHING => return After::Park,
             STOPPED => return After::Exit,
             _ => {}
         }
@@ -923,7 +1096,6 @@ fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> A
                     // ord: AcqRel — only after the ack is on the wire does
                     // the pending count drop (drain barrier exactness).
                     pl.dur_len.fetch_sub(1, Ordering::AcqRel);
-                    w.reset();
                 } else {
                     // Crash interrupted the wait: downgrade to RETRY (no
                     // durability claim), park next iteration.
@@ -932,7 +1104,7 @@ fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> A
                     pl.dur_len.fetch_sub(1, Ordering::AcqRel);
                 }
             }
-            None => w.wait(),
+            None => pl.dur_bell.wait_while(idle),
         }
     }
 }
@@ -958,9 +1130,14 @@ fn wait_covered(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, cover: u64
     }
 }
 
-/// Control thread: admin commands, crash recovery, drain/shutdown.
+/// How often a control thread that watches the process signal flag wakes
+/// to check it (a signal handler cannot ring a doorbell).
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
+
+/// Control thread: admin commands, crash recovery, drain/shutdown. Blocks
+/// on the lifecycle doorbell between commands.
 fn control_loop(inner: Arc<Inner>) {
-    let mut w = Waiter::new();
+    let idle = || inner.state() != STOPPED && inner.locked(&inner.control).is_empty();
     loop {
         if inner.cfg.watch_signals && signals::shutdown_requested() && inner.state() == RUNNING {
             do_shutdown(&inner, None);
@@ -972,22 +1149,14 @@ fn control_loop(inner: Arc<Inner>) {
                 if let Some(io) = io {
                     io.respond(&Response::Stats { id, stats });
                 }
-                w.reset();
             }
-            Some((AdminCmd::Crash, id, io)) => {
-                do_crash(&inner, id, io);
-                w.reset();
+            Some((AdminCmd::Crash, id, io)) => do_crash(&inner, id, io),
+            Some((AdminCmd::Shutdown, id, io)) => do_shutdown(&inner, io.map(|io| (id, io))),
+            None if inner.state() == STOPPED => return,
+            None if inner.cfg.watch_signals => {
+                inner.lifecycle.wait_while_timeout(idle, SIGNAL_POLL);
             }
-            Some((AdminCmd::Shutdown, id, io)) => {
-                do_shutdown(&inner, io.map(|io| (id, io)));
-                w.reset();
-            }
-            None => {
-                if inner.state() == STOPPED {
-                    return;
-                }
-                w.wait();
-            }
+            None => inner.lifecycle.wait_while(idle),
         }
     }
 }
@@ -1031,14 +1200,13 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         }
         return;
     }
-    // ord: Release — workers' state Acquire must see everything decided
-    // before the crash began.
-    inner.state.store(CRASHING, Ordering::Release);
+    inner.set_state(CRASHING);
     let target = inner.cfg.shards * (inner.cfg.executors_per_shard + 1);
     // ord: Acquire pairs with park()'s AcqRel — once the count reaches the
     // target, every worker has dropped its store handle and no further ack
     // can be written.
     spin_until(|| inner.parked.load(Ordering::Acquire) == target);
+    downgrade_pending_durable_acks(inner);
 
     let old = inner
         .locked(&inner.store)
@@ -1071,13 +1239,36 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     *inner.locked(&inner.store) = Some(Arc::new(recovered));
     // ord: monotone counter (Relaxed).
     inner.counters.crashes.fetch_add(1, Ordering::Relaxed);
-    // ord: Release publishes the new store before workers' generation
-    // Acquire lets them re-register.
-    inner.generation.fetch_add(1, Ordering::AcqRel);
-    // ord: Release, same contract as every state transition.
-    inner.state.store(RUNNING, Ordering::Release);
+    // ord: SeqCst publishes the new store before workers' generation
+    // load lets them re-register (SeqCst: parked workers reread it in a
+    // doorbell condition; the RUNNING transition below rings).
+    inner.generation.fetch_add(1, Ordering::SeqCst);
+    inner.set_state(RUNNING);
     if let Some(io) = io {
         io.respond(&Response::Done { id });
+    }
+}
+
+/// Answers every durable ack still queued with `RETRY`, once every worker
+/// has parked for a crash.
+///
+/// The crash interrupts those acks before their covering persist: the ops
+/// may or may not survive the cut, so they must NOT be acked `Done` — and
+/// their covers index the old store's log, which the recovered store's
+/// watermark may never reach. But the TCP connection outlives the
+/// simulated power failure, so silence would wedge the client forever.
+/// `RETRY` claims nothing (the client replays) and keeps the invariant
+/// that every frame gets exactly one response. This runs after the park
+/// barrier, not in the drainer: an executor can still push an ack after
+/// its shard's drainer has parked, and that ack must be answered too.
+fn downgrade_pending_durable_acks(inner: &Inner) {
+    for pl in &inner.pipelines {
+        let dropped: Vec<DurAck> = inner.locked(&pl.dur_queue).drain(..).collect();
+        for ack in &dropped {
+            ack.conn.respond(&Response::Retry { id: ack.id });
+        }
+        // ord: AcqRel pairs with the drain barrier's Acquire.
+        pl.dur_len.fetch_sub(dropped.len(), Ordering::AcqRel);
     }
 }
 
@@ -1090,8 +1281,8 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
         }
         return;
     }
-    // ord: Release — conn threads' state Acquire starts shedding new work.
-    inner.state.store(DRAINING, Ordering::Release);
+    // Conn threads start shedding new work.
+    inner.set_state(DRAINING);
     for pl in &inner.pipelines {
         // ord: Acquire pairs with the executors' AcqRel updates; both zero
         // with no new pushes possible means the queue is truly drained.
@@ -1106,8 +1297,9 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
     if let Some((id, io)) = reply {
         io.respond(&Response::Done { id });
     }
-    // ord: Release — every thread exits on its next state Acquire.
-    inner.state.store(STOPPED, Ordering::Release);
+    // Every thread exits on its next state read; the transition wakes
+    // each one that blocks.
+    inner.set_state(STOPPED);
 }
 
 #[cfg(test)]

@@ -30,13 +30,20 @@
 //! threads than cores): a pure spin loop would live-lock the benchmark
 //! harness, while `Waiter` keeps the fast path identical to a spin lock when
 //! a core is available.
+//!
+//! Waits that last as long as a thread is idle block instead: on a
+//! [`Doorbell`] (an eventcount with `Waiter`'s spin-and-yield prefix) for
+//! in-memory state, or in `ppoll(2)` for sockets ([`poll`], the workspace's
+//! one binding of it).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cell;
+pub mod poll;
 
 mod dist_rw;
+mod doorbell;
 mod phase_fair;
 mod replica_lock;
 mod rw_spin;
@@ -47,6 +54,7 @@ mod trylock;
 mod waiter;
 
 pub use dist_rw::{DistReadGuard, DistRwLock, DistWriteGuard, ReaderId};
+pub use doorbell::Doorbell;
 pub use phase_fair::{PhaseFairReadGuard, PhaseFairRwLock, PhaseFairWriteGuard};
 pub use replica_lock::ReplicaLock;
 pub use rw_spin::{RwSpinLock, RwSpinReadGuard, RwSpinWriteGuard};

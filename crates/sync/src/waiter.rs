@@ -1,11 +1,19 @@
 //! Polite spin-waiting.
 //!
-//! Every blocking loop in this workspace waits through [`Waiter`]: a short
-//! burst of `spin_loop` hints, then `thread::yield_now`, then short sleeps.
-//! On a machine with spare cores the fast path is indistinguishable from a
-//! raw spin loop; on an oversubscribed machine (the common case for the
+//! Short waits in this workspace — a lock held for a few instructions, a
+//! combiner finishing its round — go through [`Waiter`]: a short burst of
+//! `spin_loop` hints, then `thread::yield_now`, then short sleeps. On a
+//! machine with spare cores the fast path is indistinguishable from a raw
+//! spin loop; on an oversubscribed machine (the common case for the
 //! benchmark harness, which runs up to 96 logical workers) it lets the thread
 //! holding the resource actually run.
+//!
+//! A wait that can last as long as a thread is idle — for the next request,
+//! the next state change — does not sleep-poll here: it blocks on an event
+//! instead ([`crate::Doorbell`], or `ppoll(2)` on sockets through
+//! [`crate::poll`]), keeping only the spin and yield prefix
+//! ([`Waiter::try_spin`]) so a thread under load picks up the next event
+//! without blocking and being woken.
 
 use std::hint;
 use std::thread;
@@ -69,6 +77,27 @@ impl Waiter {
         self.step = self.step.saturating_add(1);
     }
 
+    /// Waits one spin or yield round and returns true, or returns false
+    /// without waiting once the spin and yield budget is spent — the point
+    /// where [`Waiter::wait`] would start sleeping. Callers that can block
+    /// on an event switch to it then.
+    ///
+    /// Under the model checker the budget is empty: a spin round there is
+    /// one more poll of the same condition, and the checker should explore
+    /// the blocking handshake that follows instead.
+    #[inline]
+    pub fn try_spin(&mut self) -> bool {
+        #[cfg(prep_mc)]
+        if prep_mc::thread::model_thread_index().is_some() {
+            return false;
+        }
+        if self.step >= SPIN_LIMIT + YIELD_LIMIT {
+            return false;
+        }
+        self.wait();
+        true
+    }
+
     /// Resets the waiter back to the spinning phase.
     ///
     /// Call this after observing progress (the condition changed but the
@@ -126,6 +155,17 @@ mod tests {
         spin_until(|| flag.load(Ordering::Acquire));
         h.join().unwrap();
         assert!(flag.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn try_spin_stops_where_sleeping_would_start() {
+        let mut w = Waiter::new();
+        let mut rounds = 0;
+        while w.try_spin() {
+            rounds += 1;
+        }
+        assert_eq!(rounds, SPIN_LIMIT + YIELD_LIMIT);
+        assert!(!w.try_spin(), "an exhausted waiter stays exhausted");
     }
 
     #[test]

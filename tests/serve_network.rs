@@ -15,12 +15,18 @@
 //!   acked before a survivor was even sent cannot itself be missing),
 //!   checked through `prep-checker`'s sharded history recorder fed from
 //!   the client threads.
+//!
+//! * **Repeated crashes never hang the pipeline.** Dozens of `ADMIN CRASH`
+//!   cycles under mixed buffered/durable load, each request and each crash
+//!   under a deadline; a miss panics with the server's lifecycle state and
+//!   per-shard queue counters, so a hang names where it waits.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use prep_checker::ShardedHistoryRecorder;
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
@@ -32,6 +38,8 @@ use prep_uc::{DurabilityLevel, LatencyModel, PmemRuntime, PrepConfig};
 
 const SHARDS: usize = 2;
 const EXECUTORS: usize = 2;
+/// How long any response may take before a test panics as hung.
+const DEADLINE: Duration = Duration::from_secs(30);
 
 fn server() -> Server {
     Server::start(
@@ -63,6 +71,7 @@ impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
         Client {
             stream,
             buf: Vec::new(),
@@ -70,19 +79,38 @@ impl Client {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Response {
+        self.roundtrip_diag(req, String::new)
+    }
+
+    /// One request, one response. A response that does not arrive within
+    /// [`DEADLINE`] panics with `diag()` (the server's state), and the
+    /// response must answer this request's id — a stray or duplicate
+    /// frame fails.
+    fn roundtrip_diag(&mut self, req: &Request, diag: impl Fn() -> String) -> Response {
         let mut out = Vec::with_capacity(32);
         encode_request(req, &mut out);
         self.stream.write_all(&out).expect("send");
         let mut tmp = [0u8; 4096];
-        loop {
+        let resp = loop {
             if let Some((resp, used)) = decode_response(&self.buf).expect("decode") {
                 self.buf.drain(..used);
-                return resp;
+                break resp;
             }
-            let n = self.stream.read(&mut tmp).expect("recv");
-            assert!(n > 0, "server closed connection");
-            self.buf.extend_from_slice(&tmp[..n]);
-        }
+            match self.stream.read(&mut tmp) {
+                Ok(0) => panic!("server closed connection; {}", diag()),
+                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Err(e) => panic!(
+                    "no response to {req:?} within {DEADLINE:?} ({e}); {}",
+                    diag()
+                ),
+            }
+        };
+        assert_eq!(
+            resp.id(),
+            req.id(),
+            "response {resp:?} does not answer {req:?}"
+        );
+        resp
     }
 
     /// PUTs until the server stops shedding; returns the ack response.
@@ -397,5 +425,125 @@ fn recovered_epoch_is_visible_on_the_wire() {
     }
     let store: Arc<Store> = server.store_handle();
     assert_eq!(store.epoch(), 2);
+    server.shutdown();
+}
+
+/// Crash-under-load, many times over: every `ADMIN CRASH` and every load
+/// request must be answered within a deadline (a hang panics with the
+/// server's lifecycle state, parked count and per-shard `len`/`busy`/
+/// `dur_len`), every frame gets exactly one response, and every
+/// durable-acked key survives all the crashes after its ack.
+#[test]
+fn repeated_crashes_under_load_never_hang() {
+    const CYCLES: u64 = 40;
+    const CLIENTS: u64 = 2;
+    let server = server();
+    let addr = server.local_addr();
+    let diag = || format!("server {:?}", server.snapshot());
+    let stop = AtomicBool::new(false);
+    // Acks (of either level) seen by the load clients; the controller
+    // crashes only after the load made progress since the last crash.
+    let acks = AtomicU64::new(0);
+
+    let durable_acked: Vec<u64> = std::thread::scope(|scope| {
+        let (stop, acks, diag) = (&stop, &acks, &diag);
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut c = Client::connect(addr);
+                    let mut durable = Vec::new();
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let key = (t + 1) * 10_000_000 + i;
+                        let req = match i % 4 {
+                            // Read back an earlier key of this client.
+                            3 => Request::Get {
+                                id: i,
+                                key: key - 1,
+                            },
+                            n => Request::Put {
+                                id: i,
+                                ack: if n == 1 {
+                                    AckLevel::Durable
+                                } else {
+                                    AckLevel::Buffered
+                                },
+                                key,
+                                value: key,
+                            },
+                        };
+                        match c.roundtrip_diag(&req, diag) {
+                            Response::Done { .. } => {
+                                if let Request::Put {
+                                    ack: AckLevel::Durable,
+                                    ..
+                                } = req
+                                {
+                                    durable.push(key);
+                                }
+                                acks.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Response::Value { .. } => {}
+                            Response::Retry { .. } => std::thread::yield_now(),
+                            other => panic!("unexpected response {other:?}"),
+                        }
+                        i += 1;
+                    }
+                    durable
+                })
+            })
+            .collect();
+
+        let mut admin = Client::connect(addr);
+        for cycle in 0..CYCLES {
+            let before = acks.load(Ordering::Relaxed);
+            let start = std::time::Instant::now();
+            while acks.load(Ordering::Relaxed) < before + 20 {
+                assert!(
+                    clients.iter().all(|h| !h.is_finished()),
+                    "a load client stopped early"
+                );
+                assert!(
+                    start.elapsed() < DEADLINE,
+                    "load made no progress within {DEADLINE:?} after crash {cycle}; {}",
+                    diag()
+                );
+                std::thread::yield_now();
+            }
+            let crash = Request::Admin {
+                id: cycle,
+                cmd: AdminCmd::Crash,
+            };
+            assert_eq!(
+                admin.roundtrip_diag(&crash, diag),
+                Response::Done { id: cycle }
+            );
+        }
+        stop.store(true, Ordering::Release);
+        clients
+            .into_iter()
+            .flat_map(|h| h.join().expect("load client panicked"))
+            .collect()
+    });
+    assert_eq!(server.crash_count(), CYCLES);
+    assert!(!durable_acked.is_empty(), "no durable PUT was ever acked");
+
+    let mut reader = Client::connect(addr);
+    let lost: Vec<u64> = durable_acked
+        .iter()
+        .copied()
+        .filter(|&k| {
+            !matches!(
+                reader.roundtrip_diag(&Request::Get { id: k, key: k }, diag),
+                Response::Value { value: Some(_), .. }
+            )
+        })
+        .collect();
+    assert!(
+        lost.is_empty(),
+        "{} of {} durable-acked keys lost across {CYCLES} crashes: {lost:?}",
+        lost.len(),
+        durable_acked.len()
+    );
     server.shutdown();
 }
